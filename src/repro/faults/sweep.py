@@ -241,9 +241,9 @@ def run_chaos_point(name: str, seed: int, **kwargs: Any) -> ScenarioReport:
     ``(scenario, seed)`` tuples across the pool.
 
     With ``REPRO_SHARDS`` set, the point replays in a shard worker
-    process under the window-bounded kernel loop (chaos scenarios are
-    single replication cliques, so they contain rather than split) and
-    the report must byte-match the inline run.
+    process (chaos scenarios are single replication cliques, so they
+    contain rather than split) and the report must byte-match the
+    inline run.
     """
     from ..sim.shard import maybe_contained
 
@@ -537,8 +537,8 @@ def run_replay(
     """Re-run a failure from its replay spec.
 
     Honors ``REPRO_SHARDS`` containment like :func:`run_chaos_point`,
-    so ``REPRO_SHARDS=1`` replays the regression corpus under the
-    sharded engine's windowed dispatch (see ``nightly.yml``).
+    so ``REPRO_SHARDS=1`` replays the regression corpus in a shard
+    worker process (see ``nightly.yml``).
     """
     from ..sim.shard import maybe_contained
 

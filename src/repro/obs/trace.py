@@ -4,13 +4,14 @@ One global :data:`TRACER` gates every instrumentation point in the
 tree. The design constraint is **zero cost when disabled** — the
 simulator's hot loop must not even see the observability layer:
 
-* The kernel inner loop is *swapped*, not branched. When a
+* The kernel loop is *chosen*, not branched. When a
   :class:`~repro.sim.kernel.Simulator` is constructed while tracing is
   enabled, :meth:`Tracer.install` attaches the tracer to the instance;
-  ``Simulator.run`` then delegates to :meth:`Tracer.run_traced`, an
-  instrumented copy of the loop. A simulator built with tracing off
-  runs the original loop byte for byte (``sim._obs is None`` is the
-  only added state, checked once per ``run()`` call, never per event).
+  ``Simulator.run`` then runs its generic loop with
+  :meth:`Tracer.dispatch` wrapping each call. A simulator built with
+  tracing off runs its own loops unchanged (``sim._obs is None`` is
+  the only added state, checked once per ``run()`` call, never per
+  event).
 * Every other instrumentation point (NIC doorbells, fabric
   deliveries, scheduler dispatches, group-op spans) is a single
   ``if TRACER.enabled:`` branch in code that already does orders of
@@ -23,12 +24,12 @@ simulator's hot loop must not even see the observability layer:
 Timeout-pool ownership audit (the rule documented in
 ``repro/sim/events.py``): bare-yielded timeouts are kernel-owned after
 resume and may be recycled at any later step. The tracer therefore
-**never retains event objects**: :meth:`run_traced` classifies a
+**never retains event objects**: :meth:`Tracer.dispatch` classifies a
 dispatch target by its *code object* (cached by code identity, which
-outlives any pooled instance) and drops the bound-method reference
-before the next iteration; trace records carry only plain ints and
-strings. ``tests/unit/test_obs_trace.py`` trips if a record or cache
-ever holds a ``Timeout``.
+outlives any pooled instance) and keeps no reference to it once the
+call returns; trace records carry only plain ints and strings.
+``tests/unit/test_obs_trace.py`` trips if a record or cache ever holds
+a ``Timeout``.
 
 This module imports nothing from the rest of ``repro`` so every layer
 can import it without cycles.
@@ -37,7 +38,6 @@ can import it without cycles.
 from __future__ import annotations
 
 import time
-from heapq import heappop, heappush
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
@@ -122,8 +122,8 @@ class Tracer:
         Flat ``name -> int`` metrics registry (``count()`` to bump).
     wall_ns:
         Host nanoseconds spent inside dispatched callables, keyed by
-        subsystem (``sim.timer``, ``hw.nic``, ...). Filled only while
-        the traced kernel loop runs.
+        subsystem (``sim.timer``, ``hw.nic``, ...). Filled only by
+        :meth:`dispatch`, i.e. while a traced simulator runs.
     wall_ns_sites:
         The same attribution at function/generator granularity.
     """
@@ -163,7 +163,7 @@ class Tracer:
 
     def enable(self, capacity: Optional[int] = None) -> "Tracer":
         """Reset and start collecting. Simulators constructed from now
-        on run the traced kernel loop."""
+        on dispatch every event through :meth:`dispatch`."""
         self.reset(capacity)
         self.enabled = True
         return self
@@ -240,153 +240,31 @@ class Tracer:
 
         sim.timeout = counted_timeout
 
-    def run_traced(self, sim, until: Optional[int]) -> int:
-        """Instrumented copy of ``Simulator.run``.
+    def dispatch(self, now: int, fn, args: tuple) -> None:
+        """Make one traced kernel dispatch: ``fn(*args)`` at ``now``.
 
-        Pops exactly the same heap entries in exactly the same order as
-        the plain loop; around each dispatch it attributes host time to
-        the target's subsystem and (optionally) records an instant
-        event at the simulated timestamp. Raises and clock semantics
-        match ``Simulator.run``.
-
-        Fast-dispatch simulators run the batched variant (mirroring the
-        batched ``Simulator.run`` loop); generic simulators run the
-        one-pop-at-a-time copy below. Both attribute and record every
-        dispatch individually — batching never merges trace records.
+        ``Simulator.run`` passes this as the dispatch hook of its
+        generic loop while the tracer is enabled, so a traced run pops
+        exactly the same heap entries in exactly the same order as an
+        untraced one. Around the call it classifies the target, counts
+        the dispatch, records a kernel instant at the simulated
+        timestamp (unless ``record_kernel`` is off) and bills the host
+        time to the target's subsystem and site. It keeps no reference
+        to ``fn`` or ``args`` once it returns: a claimed Timeout is
+        pool-owned the moment its dispatch finishes.
         """
-        from ..sim.kernel import SimulationError  # local: avoid cycle at import
-
-        if sim._fast_dispatch:
-            return self._run_traced_batched(sim, until)
-        if sim._running:
-            raise SimulationError("run() is not reentrant")
-        sim._running = True
-        queue = sim._queue
-        pop = heappop
+        subsystem, site, actor = self._classify(fn)
+        self.dispatches += 1
+        if self.record_kernel:
+            self.record(now, "i", "kernel", site, pid="kernel", tid=actor)
         perf = time.perf_counter_ns
-        classify = self._classify
+        started = perf()
+        fn(*args)
+        elapsed = perf() - started
         wall = self.wall_ns
+        wall[subsystem] = wall.get(subsystem, 0) + elapsed
         sites = self.wall_ns_sites
-        record_kernel = self.record_kernel
-        try:
-            now = sim.now
-            while queue:
-                event_time = queue[0][0]
-                if until is not None and event_time > until:
-                    break
-                _t, _seq, fn, args = pop(queue)
-                if event_time != now:
-                    now = sim.now = event_time
-                subsystem, site, actor = classify(fn)
-                self.dispatches += 1
-                if record_kernel:
-                    self.record(now, "i", "kernel", site, pid="kernel", tid=actor)
-                started = perf()
-                fn(*args)
-                elapsed = perf() - started
-                wall[subsystem] = wall.get(subsystem, 0) + elapsed
-                sites[site] = sites.get(site, 0) + elapsed
-                # Drop the dispatch reference before the next pop: a
-                # claimed Timeout is pool-owned the moment fn() returns.
-                del fn, args
-            if until is not None and sim._advance_clock and until > sim.now:
-                sim.now = until
-        finally:
-            sim._running = False
-        return sim.now
-
-    def _run_traced_batched(self, sim, until: Optional[int]) -> int:
-        """Instrumented copy of the batched ``Simulator.run`` loop.
-
-        Same two-phase structure — heap entries at the head timestamp
-        dispatch eagerly, same-time pushes land in ``batch`` and are
-        walked afterwards — with per-dispatch classification, wall-time
-        attribution, and (optionally) an instant record each, exactly
-        like the unbatched traced loop. Fire markers dispatch through
-        ``Timeout._fire`` (whose batch-append path preserves ordering),
-        so the claimed-timeout inlining in the untraced loop never
-        changes what a trace looks like.
-        """
-        from ..sim.kernel import SimulationError  # local: avoid cycle at import
-
-        if sim._running:
-            raise SimulationError("run() is not reentrant")
-        sim._running = True
-        queue = sim._queue
-        pop = heappop
-        perf = time.perf_counter_ns
-        classify = self._classify
-        wall = self.wall_ns
-        sites = self.wall_ns_sites
-        record_kernel = self.record_kernel
-        batch: list = []
-        index = -1
-        sim._batch = batch
-        try:
-            while queue:
-                event_time = queue[0][0]
-                if until is not None and event_time > until:
-                    break
-                sim.now = event_time
-                del batch[:]
-                index = -1
-                while True:
-                    entry = pop(queue)
-                    fn = entry[2]
-                    if entry[3] is None:
-                        # Fire marker: dispatch via Timeout._fire so
-                        # classification and ordering match the
-                        # generic loop record for record.
-                        fn = fn._fire
-                        args = ()
-                    else:
-                        args = entry[3]
-                    subsystem, site, actor = classify(fn)
-                    self.dispatches += 1
-                    if record_kernel:
-                        self.record(
-                            event_time, "i", "kernel", site, pid="kernel", tid=actor
-                        )
-                    started = perf()
-                    fn(*args)
-                    elapsed = perf() - started
-                    wall[subsystem] = wall.get(subsystem, 0) + elapsed
-                    sites[site] = sites.get(site, 0) + elapsed
-                    # Drop the dispatch reference before the next pop:
-                    # a claimed Timeout is pool-owned once fn() returns.
-                    del fn, args, entry
-                    if not queue or queue[0][0] != event_time:
-                        break
-                for index, (fn, args) in enumerate(batch):
-                    if args is None:
-                        fn = fn._fire
-                        args = ()
-                    subsystem, site, actor = classify(fn)
-                    self.dispatches += 1
-                    if record_kernel:
-                        self.record(
-                            event_time, "i", "kernel", site, pid="kernel", tid=actor
-                        )
-                    started = perf()
-                    fn(*args)
-                    elapsed = perf() - started
-                    wall[subsystem] = wall.get(subsystem, 0) + elapsed
-                    sites[site] = sites.get(site, 0) + elapsed
-                    del fn, args
-            if until is not None and sim._advance_clock and until > sim.now:
-                sim.now = until
-        finally:
-            sim._batch = None
-            if index + 1 < len(batch):
-                # An exception escaped mid-batch: push the undispatched
-                # tail back so the queue state stays consistent (the
-                # entry that raised is consumed, like the generic loop).
-                for fn, args in batch[index + 1 :]:
-                    sim._sequence += 1
-                    heappush(queue, (sim.now, sim._sequence, fn, args))
-            del batch[:]
-            sim._running = False
-        return sim.now
+        sites[site] = sites.get(site, 0) + elapsed
 
     def _classify(self, fn) -> Tuple[str, str, str]:
         """(subsystem, site, actor) for a dispatched callable.

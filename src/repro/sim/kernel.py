@@ -16,6 +16,11 @@ per-step closure allocation. ``Simulator(fast_dispatch=False)`` runs
 the generic path instead; both produce bit-for-bit identical event
 orderings (asserted by ``tests/unit/test_kernel_perf.py``).
 
+There are exactly two run loops: the batched same-timestamp loop
+(untraced fast dispatch) and the one-pop-at-a-time generic loop, the
+oracle, which also carries traced runs through the tracer's dispatch
+wrapper (:meth:`Simulator.run`).
+
 Example
 -------
 >>> from repro.sim import Simulator
@@ -33,7 +38,6 @@ Example
 
 from __future__ import annotations
 
-import heapq
 import os
 import random
 from heapq import heappop, heappush
@@ -251,26 +255,9 @@ class Simulator:
         environment variable (``0``/``false``/``no`` disable), which
         lets sweep worker *processes* be flipped to the generic oracle
         without plumbing the flag through every runner signature.
-    window_ns:
-        Conservative time-window mode (the sharded engine's run loop,
-        see :mod:`repro.sim.shard`): ``run()`` advances in windows of
-        at most ``window_ns`` beyond the next pending event and invokes
-        the :attr:`on_window` barrier hook between windows. Event
-        dispatch order — and therefore every simulated result — is
-        bit-for-bit identical to the unwindowed loop; the mode exists
-        so a shard can stop at lookahead boundaries to exchange
-        cross-shard messages. ``None`` (the default) reads
-        ``REPRO_WINDOW_NS`` (unset/``0`` disable), which lets shard
-        worker processes window default-constructed simulators without
-        plumbing the flag through every experiment signature.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        fast_dispatch: Optional[bool] = None,
-        window_ns: Optional[int] = None,
-    ):
+    def __init__(self, seed: int = 0, fast_dispatch: Optional[bool] = None):
         self.now: int = 0
         self.seed = seed
         self._queue: list = []
@@ -283,23 +270,14 @@ class Simulator:
                 "REPRO_FAST_DISPATCH", "1"
             ).lower() not in ("0", "false", "no")
         self._fast_dispatch = fast_dispatch
-        if window_ns is None:
-            raw = os.environ.get("REPRO_WINDOW_NS", "")
-            window_ns = int(raw) if raw.isdigit() else 0
-        self.window_ns = int(window_ns) if window_ns else 0
-        # Barrier hook for the windowed run loop: called once after
-        # every window (a shard uses it to count sync rounds and, in
-        # the in-process containment path, to exchange messages).
-        self.on_window: Optional[Callable[["Simulator"], None]] = None
-        self.sync_rounds = 0
         # When False, a bounded run leaves the clock at the last
-        # dispatched event instead of advancing to ``until`` — the
-        # windowed loop needs intermediate slices unpinned so the final
-        # clock matches the plain loop exactly.
+        # dispatched event instead of advancing to ``until`` — a shard
+        # worker runs its windows as ``until`` slices with this off, so
+        # its final clock matches an unwindowed run exactly.
         self._advance_clock = True
         self._timeout_pool: list = []
         self._hop: Optional[Hop] = None
-        # Active same-timestamp dispatch batch (fast path only). While
+        # Active same-timestamp dispatch batch (batched loop only). While
         # run() is draining one timestamp, every push targeting the
         # current time appends here instead of touching the heap; the
         # batch is dispatched in append order, which equals seq order,
@@ -308,7 +286,7 @@ class Simulator:
         # Observability hook: None on the fast path. A tracer attaches
         # itself only to simulators constructed while tracing is
         # enabled (or via Tracer.install), so untraced runs never see
-        # the instrumented loop.
+        # its per-dispatch wrapper.
         self._obs = None
         if TRACER.enabled:
             TRACER.install(self)
@@ -454,73 +432,48 @@ class Simulator:
         Returns the final value of :attr:`now`. When ``until`` is given
         the clock is advanced exactly to it even if the last event fired
         earlier, so back-to-back ``run(until=...)`` calls tile time.
+        Windowing is done this way, by the caller: a sharded worker runs
+        one ``until`` slice per window with ``_advance_clock`` off.
 
-        The fast path dispatches in *same-timestamp batches*: all heap
-        entries sharing the head timestamp are popped into a local list
-        and dispatched by index, and pushes targeting the current time
-        (claimed-timeout resumes, zero-delay calls) append to that list
-        instead of round-tripping through the heap. Appends happen in
-        seq-assignment order, so the dispatch order is identical to the
-        one-pop-at-a-time generic loop (``fast_dispatch=False``), which
-        is kept verbatim below as the equivalence oracle.
-
-        With :attr:`window_ns` set, dispatch is additionally sliced
-        into conservative time windows (identical order, see
-        :meth:`_run_windowed`).
+        A reentrant call raises :class:`SimulationError` before it
+        changes any state. Then one of two loops runs. Untraced
+        fast-dispatch simulators run the batched loop
+        (:meth:`_run_batched`); everything else runs the
+        one-pop-at-a-time :meth:`_run_generic`, the equivalence oracle,
+        which a tracer enters with its
+        :meth:`~repro.obs.trace.Tracer.dispatch` wrapper as the
+        dispatch hook. Batched, generic and traced runs dispatch in the
+        same order. Tracing is chosen here, once per call, so the
+        untraced hot path never calls a dispatch function per event.
         """
-        if self.window_ns:
-            return self._run_windowed(until)
-        return self._run_plain(until)
-
-    def _run_windowed(self, until: Optional[int]) -> int:
-        """Conservative time-window run loop (the sharded engine mode).
-
-        Each iteration advances from the next pending event time ``T``
-        through exactly one window ``(now, T + window_ns]`` using the
-        normal dispatch loop, then fires the :attr:`on_window` barrier
-        hook. Because the inner slices are plain bounded runs, the
-        dispatch order — and every simulated result — is bit-for-bit
-        identical to an unwindowed run; only the points at which
-        control returns to the caller's barrier differ. Intermediate
-        slices leave the clock unpinned so that, like the plain loop,
-        a run without ``until`` ends at the last dispatched event.
-        """
-        queue = self._queue
-        try:
-            self._advance_clock = False
-            while queue:
-                head = queue[0][0]
-                if until is not None and head > until:
-                    break
-                end = head + self.window_ns
-                if until is not None and end > until:
-                    end = until
-                self._run_plain(end)
-                self.sync_rounds += 1
-                hook = self.on_window
-                if hook is not None:
-                    hook(self)
-        finally:
-            self._advance_clock = True
-        if until is not None and until > self.now:
-            self.now = until
-        return self.now
-
-    def _run_plain(self, until: Optional[int]) -> int:
-        obs = self._obs
-        if obs is not None and obs.enabled:
-            # Checked once per run() call, never per event: the traced
-            # loop is a swapped copy, not a branch in the hot path.
-            return obs.run_traced(self, until)
         if self._running:
             raise SimulationError("run() is not reentrant")
-        if not self._fast_dispatch:
-            return self._run_generic(until)
+        obs = self._obs
+        if obs is not None and obs.enabled:
+            return self._run_generic(until, obs.dispatch)
+        if self._fast_dispatch:
+            return self._run_batched(until)
+        return self._run_generic(until, None)
+
+    def _run_batched(self, until: Optional[int]) -> int:
+        """The fast loop: dispatch in same-timestamp batches.
+
+        Every heap entry at the head timestamp is popped into ``batch``
+        as an ``(fn, args)`` pair, then the batch is walked once. While
+        the batch is installed as ``self._batch``, every push targeting
+        the current time (claimed-timeout resumes, zero-delay calls)
+        appends to it instead of round-tripping through the heap; the
+        walk picks those up in push order. The popped entries carry
+        seqs assigned before any of them ran, so they precede every
+        such push, and the order is exactly the generic loop's
+        ``(time, seq)`` order.
+        """
         self._running = True
         queue = self._queue
         pop = heappop
         batch: list = []
-        index = -1
+        append = batch.append
+        walk = None
         # The batch stays installed across timestamps: between batches
         # no user code runs, so nothing can push while it is "idle".
         self._batch = batch
@@ -531,52 +484,21 @@ class Simulator:
                     break
                 self.now = time
                 del batch[:]
-                index = -1
-                # Phase 1: pop-and-dispatch every heap entry at this
-                # timestamp. All of them carry seqs assigned before any
-                # dispatch below runs, so they precede every same-time
-                # push made during dispatch — which lands in ``batch``
-                # (phase 2), in push order. That is exactly the generic
-                # loop's (time, seq) order.
                 while True:
-                    entry = pop(queue)
-                    args = entry[3]
+                    _t, _seq, fn, args = pop(queue)
+                    append((fn, args))
+                    if not queue or queue[0][0] != time:
+                        break
+                # A list iterator, not enumerate(): it is the cheaper
+                # walk, it picks up entries appended mid-walk, and it
+                # remembers where an exception stopped it.
+                walk = iter(batch)
+                for fn, args in walk:
                     if args is None:
-                        # Claimed-timeout fire marker: entry[2] is the
+                        # Claimed-timeout fire marker: ``fn`` is the
                         # Timeout itself and this is Timeout._fire
                         # inlined — the single hottest dispatch in any
                         # run, worth skipping a Python call for.
-                        timeout = entry[2]
-                        proc = timeout._proc
-                        value = timeout._tvalue
-                        if proc is None:
-                            timeout.succeed(value)
-                        elif proc._waiting_on is not timeout:
-                            timeout._proc = None
-                            timeout.succeed(value)
-                        else:
-                            timeout._proc = None
-                            proc._waiting_on = None
-                            timeout._triggered = True
-                            timeout._value = value
-                            callbacks = timeout._callbacks
-                            if callbacks:
-                                timeout._callbacks = None
-                                batch.append((proc._resume, (value, None)))
-                                for callback in callbacks:
-                                    callback(timeout)
-                            else:
-                                batch.append((proc._resume, (value, timeout)))
-                    else:
-                        entry[2](*args)
-                    if not queue or queue[0][0] != time:
-                        break
-                # Phase 2: walk the same-time pushes. List iteration
-                # picks up entries appended mid-walk, so work scheduled
-                # for the current time during dispatch runs in this
-                # same batch, in push order.
-                for index, (fn, args) in enumerate(batch):
-                    if args is None:
                         timeout = fn
                         proc = timeout._proc
                         value = timeout._tvalue
@@ -593,58 +515,65 @@ class Simulator:
                             callbacks = timeout._callbacks
                             if callbacks:
                                 timeout._callbacks = None
-                                batch.append((proc._resume, (value, None)))
+                                append((proc._resume, (value, None)))
                                 for callback in callbacks:
                                     callback(timeout)
                             else:
-                                batch.append((proc._resume, (value, timeout)))
+                                append((proc._resume, (value, timeout)))
                     else:
                         fn(*args)
             if until is not None and self._advance_clock and until > self.now:
                 self.now = until
         finally:
             self._batch = None
-            if index + 1 < len(batch):
-                # An exception escaped mid-batch: push the undispatched
-                # tail back so the queue state stays consistent (the
-                # entry that raised is consumed, like the generic loop).
-                for fn, args in batch[index + 1 :]:
+            if walk is not None:
+                # Exhausted after a normal finish. If an exception
+                # escaped mid-batch it yields the undispatched tail,
+                # which goes back on the heap so the queue state stays
+                # consistent (the entry that raised is consumed, like
+                # the generic loop).
+                for fn, args in walk:
                     self._sequence += 1
                     heappush(queue, (self.now, self._sequence, fn, args))
             del batch[:]
             self._running = False
         return self.now
 
-    def _run_generic(self, until: Optional[int]) -> int:
+    def _run_generic(
+        self,
+        until: Optional[int],
+        hook: Optional[Callable[[int, Callable, tuple], None]],
+    ) -> int:
         """The unbatched event loop: pop one entry, dispatch, repeat.
 
         This is the dispatch oracle — ``fast_dispatch=False`` runs it,
-        and the batched loop above must produce bit-for-bit identical
-        event orderings (asserted by the equivalence tests).
+        and the batched loop must produce bit-for-bit identical event
+        orderings (asserted by the equivalence tests). A traced
+        simulator runs it too, in either dispatch mode, with
+        ``hook(now, fn, args)`` making each call; fire markers (``args``
+        is ``None``, only pushed under fast dispatch) dispatch through
+        ``Timeout._fire``.
         """
         self._running = True
         queue = self._queue
         pop = heappop
+        now = self.now
         try:
-            if until is None:
-                now = self.now
-                while queue:
-                    time, _seq, fn, args = pop(queue)
-                    if time != now:
-                        now = self.now = time
+            while queue:
+                if until is not None and queue[0][0] > until:
+                    break
+                time, _seq, fn, args = pop(queue)
+                if time != now:
+                    now = self.now = time
+                if args is None:
+                    fn = fn._fire
+                    args = ()
+                if hook is None:
                     fn(*args)
-            else:
-                now = self.now
-                while queue:
-                    time = queue[0][0]
-                    if time > until:
-                        break
-                    _t, _seq, fn, args = pop(queue)
-                    if time != now:
-                        now = self.now = time
-                    fn(*args)
-                if self._advance_clock and until > self.now:
-                    self.now = until
+                else:
+                    hook(now, fn, args)
+            if until is not None and self._advance_clock and until > self.now:
+                self.now = until
         finally:
             self._running = False
         return self.now

@@ -31,11 +31,10 @@ The pieces, bottom-up:
   sorted by ``(deliver_ns, src, seq)``. Identical inputs per shard →
   identical simulation regardless of host scheduling.
 * :func:`maybe_contained` — the ``REPRO_SHARDS`` containment hook:
-  re-runs an experiment/chaos callable in a shard worker process under
-  the window-bounded kernel loop, which is how the regression corpus
-  is replayed "under the sharded engine" (replication cliques cannot
-  split, but the worker protocol, windowed dispatch, and result
-  shipping all still apply).
+  re-runs an experiment/chaos callable in a shard worker process, which
+  is how the regression corpus is replayed "under the sharded engine"
+  (replication cliques cannot split, but the process boundary, env
+  propagation and result shipping all still apply).
 
 Determinism invariants (asserted by
 ``tests/integration/test_shard_equivalence.py``):
@@ -83,7 +82,6 @@ DEFAULT_LOOKAHEAD_NS = 1300
 
 SHARDS_VAR = "REPRO_SHARDS"
 ROLE_VAR = "REPRO_SHARD_ROLE"
-WINDOW_VAR = "REPRO_WINDOW_NS"
 
 
 # -- environment propagation ------------------------------------------------
@@ -253,9 +251,10 @@ def _shard_worker(
       run to ``window_end``, loop
     * recv ``("stop",)`` → send ``("done", report, stats, trace)``
 
-    Intermediate bounded runs leave the clock unpinned
-    (``_advance_clock``) so the shard's final ``now`` matches what an
-    unwindowed run of the same events would report.
+    Each window is one ``sim.run(until=window_end)`` slice. The slices
+    leave the clock unpinned (``_advance_clock``) so the shard's final
+    ``now`` matches what an unwindowed run of the same events would
+    report.
     """
     wall0 = _time.perf_counter()
     apply_repro_env(env)
@@ -269,9 +268,9 @@ def _shard_worker(
     from .kernel import Simulator
 
     program = resolve_program(program_name)
-    # window_ns=0: the coordinator drives the windows explicitly.
-    sim = Simulator(seed=seed, window_ns=0)
+    sim = Simulator(seed=seed)
     fabric, state = program.build(sim, local, all_hosts, params)
+    sync_rounds = 0
     sim._advance_clock = False
     try:
         while True:
@@ -284,7 +283,7 @@ def _shard_worker(
             for boundary_message in inbox:
                 fabric.inject(boundary_message)
             sim.run(until=window_end)
-            sim.sync_rounds += 1
+            sync_rounds += 1
     finally:
         sim._advance_clock = True
     if trace_cfg is not None:
@@ -296,7 +295,7 @@ def _shard_worker(
         "shard": shard_index,
         "hosts": len(local),
         "events": sim._sequence,
-        "sync_rounds": sim.sync_rounds,
+        "sync_rounds": sync_rounds,
         "now_ns": sim.now,
         "wall_s": _time.perf_counter() - wall0,
     }
@@ -499,12 +498,10 @@ def maybe_contained(target: str, kwargs: Dict[str, Any]) -> Optional[Tuple[Any]]
 
     When ``REPRO_SHARDS`` is set (and this process is not already a
     shard/containment worker), run ``target`` — a ``module:callable``
-    path — in a worker process whose default-constructed simulators
-    use the window-bounded run loop (``REPRO_WINDOW_NS`` = lookahead).
-    That replays the unchanged experiment under the sharded engine's
-    dispatch machinery: replication cliques cannot split across
-    processes, but the windowed kernel loop, worker shipping, and env
-    propagation are all exercised and the results must byte-match.
+    path — in a worker process. That replays the unchanged experiment
+    under the sharded engine's process machinery: replication cliques
+    cannot split across processes, but worker shipping and env
+    propagation are both exercised and the results must byte-match.
 
     Returns ``None`` when containment does not apply (caller proceeds
     inline) or a 1-tuple holding the worker's result. Worker
@@ -517,7 +514,6 @@ def maybe_contained(target: str, kwargs: Dict[str, Any]) -> Optional[Tuple[Any]]
         return None
     env = capture_repro_env()
     env[ROLE_VAR] = "contained"
-    env[WINDOW_VAR] = str(DEFAULT_LOOKAHEAD_NS)
     context = _context()
     parent_conn, child_conn = context.Pipe()
     process = context.Process(

@@ -2,11 +2,10 @@
 
 The HyperLoop experiments and the chaos corpus are single-clique
 worlds (one replica chain sharing a fabric), so the partitioner cannot
-split them; ``REPRO_SHARDS`` instead *contains* each run in a worker
-process driven by the window-bounded kernel loop
-(``REPRO_WINDOW_NS=lookahead``). The contract is the usual one: byte-
-identical results, now across a process boundary and a chopped-up run
-loop. This is the job ``nightly.yml`` runs over the whole corpus.
+split them; ``REPRO_SHARDS`` instead *contains* each run in a shard
+worker process. The contract is the usual one: byte-identical
+results, now across a process boundary. This is the job
+``nightly.yml`` runs over the whole corpus.
 """
 
 import dataclasses

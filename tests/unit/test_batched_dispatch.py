@@ -112,8 +112,10 @@ class TestRandomizedEquivalence:
 
     @pytest.mark.parametrize("seed", [7, 404])
     def test_batched_matches_generic_traced(self, seed):
-        """The traced batched loop (obs on) must reproduce the same
-        interleaving as the traced legacy loop *and* as untraced runs."""
+        """A traced fast-dispatch run (the generic loop under the
+        tracer's dispatch wrapper, fire markers and all) must reproduce
+        the same interleaving as a traced generic-dispatch run *and* as
+        the untraced batched loop."""
         untraced = _random_soup(seed, True)
         batched = _random_soup(seed, True, traced=True)
         batched_dispatches = TRACER.dispatches

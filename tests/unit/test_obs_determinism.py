@@ -6,8 +6,10 @@ Two directions, both bit-for-bit:
   original loop, so event order matches the seed kernel exactly (the
   fast-vs-generic harness from ``test_kernel_perf`` stands in for the
   pre-obs kernel, same as it stood in for the pre-rewrite one).
-* **Tracing on** — ``run_traced`` pops the same heap entries in the
-  same order, never schedules events, never consumes randomness: the
+* **Tracing on** — ``run()`` takes the generic loop with
+  ``Tracer.dispatch`` wrapping each call, in either dispatch mode. It
+  pops the same heap entries in the same order as the untraced loops,
+  never schedules events, never consumes randomness: the
   event interleaving and full experiment outputs (stats *and* raw
   samples) are identical to an untraced run of the same seed.
 """
@@ -32,7 +34,7 @@ def _tracer_off():
 
 def mixed_run(fast_dispatch=True, until=None, chunk=None):
     """Timeouts + triggered events + callbacks: every dispatch shape
-    the traced loop must reproduce. Returns the resume log + final now."""
+    a traced run must reproduce. Returns the resume log + final now."""
     sim = Simulator(seed=11, fast_dispatch=fast_dispatch)
     log = []
     gate = Event(sim)
@@ -120,7 +122,7 @@ class TestTracingOnIsInvisible:
 
     def test_chunked_runs_identical(self):
         # run_until()-style repeated run(until=now+chunk) calls: the
-        # traced loop must honour the same clock-advance rules.
+        # traced run must honour the same clock-advance rules.
         untraced = mixed_run(until=120, chunk=7)
         with tracing():
             traced = mixed_run(until=120, chunk=7)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import tracing
 from repro.sim import (
     AllOf,
     AnyOf,
@@ -82,6 +83,20 @@ class TestClockAndScheduling:
         sim.call_in(10, first)
         sim.run()
         assert seen == [("first", 10), ("second", 15)]
+
+    def test_advance_clock_flag_leaves_clock_at_last_event(self):
+        sim = Simulator(seed=4)
+        seen = []
+        sim.call_in(10, seen.append, "a")
+        sim.call_in(300, seen.append, "b")
+        sim._advance_clock = False
+        try:
+            sim.run(until=10_000)
+        finally:
+            sim._advance_clock = True
+        # All events fired, but the clock was not pinned to `until`.
+        assert seen == ["a", "b"]
+        assert sim.now == 300
 
 
 class TestEvents:
@@ -317,3 +332,70 @@ class TestRng:
         sim2 = Simulator(seed=3)
         sim2.rng("beta")
         assert sim2.rng("alpha").random() == first
+
+
+@pytest.fixture(params=["fast", "generic", "traced"])
+def make_sim(request):
+    """Simulator factory for each run loop: the batched loop, the
+    generic oracle, and the generic loop under the tracer's dispatch
+    wrapper (fast dispatch, so fire markers go through it too)."""
+    if request.param == "traced":
+        with tracing():
+            yield Simulator
+    else:
+        fast = request.param == "fast"
+        yield lambda: Simulator(fast_dispatch=fast)
+
+
+class TestRunLoopContract:
+    """What every run loop promises, whichever one ``run()`` picks."""
+
+    def test_raise_mid_batch_keeps_the_rest_queued_in_order(self, make_sim):
+        sim = make_sim()
+        log = []
+
+        def boom():
+            log.append("boom")
+            raise RuntimeError("boom")
+
+        def proc():
+            yield sim.timeout(10)
+            log.append(("p", sim.now))
+            yield sim.timeout(5)
+            log.append(("p", sim.now))
+
+        sim.spawn(proc())
+        sim.call_at(10, log.append, "a")
+        sim.call_at(10, lambda: sim.call_in(0, log.append, "pushed at 10"))
+        sim.call_at(10, boom)
+        sim.call_at(10, log.append, "c")
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+        # The raising entry is consumed; the rest of time 10 — the
+        # heap entry "c", the process's timeout and the same-time push
+        # made before the raise — stays queued.
+        assert (log, sim.now, sim.pending_events) == (["a", "boom"], 10, 3)
+        assert sim.run() == 15
+        assert log == ["a", "boom", "c", "pushed at 10", ("p", 10), ("p", 15)]
+        assert sim.pending_events == 0
+
+    def test_reentrant_run_raises_and_leaves_the_outer_clock(self, make_sim):
+        sim = make_sim()
+        caught = []
+
+        def proc():
+            yield sim.timeout(10)
+            with pytest.raises(SimulationError, match="not reentrant"):
+                sim.run()
+            caught.append(sim.now)
+            yield sim.timeout(2000)
+            yield sim.timeout(3)
+
+        process = sim.spawn(proc())
+        assert sim.run() == 2013
+        assert caught == [10]
+        assert process.triggered and process.ok
+        # The rejected call changed no state: the simulator runs again.
+        sim.call_in(7, caught.append, "again")
+        assert sim.run() == 2020
+        assert caught == [10, "again"]

@@ -1,14 +1,11 @@
-"""The window-bounded run loop must be invisible to the simulation.
+"""Windowing a run from the caller must be invisible to the simulation.
 
-``Simulator(window_ns=W)`` chops ``run()`` into conservative windows —
-the sharded engine's building block — but a single-process simulation
-must produce bit-identical state, logs, and clock whatever W is, with
-``sync_rounds`` the only observable difference.
+A shard worker advances in conservative windows by calling
+``sim.run(until=window_end)`` once per window with ``_advance_clock``
+off (``repro.sim.shard._shard_worker``). A single-process simulation
+sliced that way must produce bit-identical state, logs, and clock
+whatever the window width.
 """
-
-import os
-
-import pytest
 
 from repro.sim.kernel import Simulator
 
@@ -28,65 +25,38 @@ def _workload(sim):
     return log
 
 
+def _run_windows(sim, window_ns, until):
+    """The shard worker's loop: one ``until`` slice per window."""
+    queue = sim._queue
+    sim._advance_clock = False
+    try:
+        while queue and (until is None or queue[0][0] <= until):
+            end = queue[0][0] + window_ns
+            sim.run(until=end if until is None else min(end, until))
+    finally:
+        sim._advance_clock = True
+    if until is not None:
+        sim.run(until=until)
+
+
 def _run(window_ns, until=None):
-    sim = Simulator(seed=3, window_ns=window_ns)
+    sim = Simulator(seed=3)
     log = _workload(sim)
-    sim.run(until=until)
-    return log, sim.now, sim._sequence, sim.sync_rounds
+    if window_ns:
+        _run_windows(sim, window_ns, until)
+    else:
+        sim.run(until=until)
+    return log, sim.now, sim._sequence
 
 
 def test_windowed_run_matches_plain():
     plain = _run(0)
     for window in (1, 13, 100, 1300, 10**9):
-        windowed = _run(window)
-        assert windowed[:3] == plain[:3], f"window_ns={window} diverged"
+        assert _run(window) == plain, f"window_ns={window} diverged"
 
 
 def test_windowed_run_with_until_matches_plain():
     plain = _run(0, until=700)
     windowed = _run(50, until=700)
-    assert windowed[:3] == plain[:3]
+    assert windowed == plain
     assert windowed[1] == 700  # clock pinned to until either way
-
-
-def test_sync_rounds_counts_windows():
-    plain = _run(0)
-    assert plain[3] == 0
-    windowed = _run(100)
-    assert windowed[3] > 1
-    # Wider windows, fewer rounds.
-    assert _run(1000)[3] < windowed[3]
-
-
-def test_window_from_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_WINDOW_NS", "250")
-    sim = Simulator(seed=1)
-    assert sim.window_ns == 250
-    monkeypatch.delenv("REPRO_WINDOW_NS")
-    assert Simulator(seed=1).window_ns == 0
-    # Explicit argument beats the environment.
-    monkeypatch.setenv("REPRO_WINDOW_NS", "250")
-    assert Simulator(seed=1, window_ns=0).window_ns == 0
-
-
-def test_on_window_hook_fires_once_per_round_with_monotonic_clock():
-    sim = Simulator(seed=2, window_ns=64)
-    _workload(sim)
-    bounds = []
-    sim.on_window = lambda s: bounds.append(s.now)
-    sim.run()
-    assert bounds == sorted(bounds)
-    assert len(bounds) == sim.sync_rounds
-
-
-def test_advance_clock_flag_leaves_clock_at_last_event():
-    sim = Simulator(seed=4)
-    log = _workload(sim)
-    sim._advance_clock = False
-    try:
-        sim.run(until=10_000)
-    finally:
-        sim._advance_clock = True
-    # All events fired, but the clock was not pinned to `until`.
-    assert log
-    assert sim.now < 10_000
